@@ -31,7 +31,7 @@ const maxMonitorSteps = 65536
 // whole session — a monitor is sustained work, so it must count against
 // MaxInFlight for its duration, not just its setup.
 func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
-	k, err := intParam(r, "k", 10)
+	k, err := int32Param(r, "k", 10)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -41,10 +41,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	category := r.URL.Query().Get("category")
-	if category == "" {
-		category = rnknn.DefaultCategory
-	}
+	category := categoryParam(r)
 	interval, err := intParam(r, "interval_ms", 0)
 	if err != nil {
 		writeError(w, err)
@@ -71,8 +68,8 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	// validation errors (bad k, bad vertex, unknown category) still answer
 	// with their proper HTTP status instead of a 200 stream.
 	streaming := false
-	summary := MonitorSummaryJSON{K: k, Category: category}
-	for u, err := range s.db.Monitor(r.Context(), route, k, rnknn.WithMethod(method), rnknn.WithCategory(category)) {
+	summary := MonitorSummaryJSON{K: int(k), Category: category}
+	for u, err := range s.db.Monitor(r.Context(), route, int(k), rnknn.WithMethod(method), rnknn.WithCategory(category)) {
 		if err != nil {
 			if !streaming {
 				writeError(w, err)
@@ -122,15 +119,15 @@ func (s *Server) monitorRoute(r *http.Request) ([]int32, error) {
 		}
 		route := make([]int32, len(parts))
 		for i, p := range parts {
-			n, err := strconv.Atoi(strings.TrimSpace(p))
+			n, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
 			if err != nil {
-				return nil, fmt.Errorf("parameter \"route\": %q is not an integer", p)
+				return nil, fmt.Errorf("parameter \"route\": %q is not a 32-bit integer", p)
 			}
 			route[i] = int32(n)
 		}
 		return route, nil
 	}
-	q, err := intParam(r, "q", -1)
+	q, err := int32Param(r, "q", -1)
 	if err != nil {
 		return nil, fmt.Errorf("%v (or pass an explicit route=)", err)
 	}
@@ -146,10 +143,10 @@ func (s *Server) monitorRoute(r *http.Request) ([]int32, error) {
 		return nil, err
 	}
 	g := s.db.Graph()
-	if q < 0 || q >= g.NumVertices() {
+	if q < 0 || int(q) >= g.NumVertices() {
 		return nil, fmt.Errorf("parameter \"q\": vertex %d out of range (network has %d vertices)", q, g.NumVertices())
 	}
-	return randomWalk(g, int32(q), steps, int64(seed)), nil
+	return randomWalk(g, q, steps, int64(seed)), nil
 }
 
 // randomWalk builds a route of n vertices starting at q, advancing one

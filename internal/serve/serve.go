@@ -186,12 +186,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // set it was computed from.
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	qv, err := intParam(r, "q", -1)
+	qv, err := int32Param(r, "q", -1)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	k, err := intParam(r, "k", 10)
+	k, err := int32Param(r, "k", 10)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -201,31 +201,30 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	category := r.URL.Query().Get("category")
-	if category == "" {
-		category = rnknn.DefaultCategory
-	}
-	res, pinned, cached, err := s.knnQuery(r.Context(), int32(qv), k, method, category)
+	key := cacheKey{vertex: qv, k: k, radius: -1, category: categoryParam(r)}
+	res, pinned, cached, err := s.query(r.Context(), key, method)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	key := cacheKey{vertex: int32(qv), k: int32(k), radius: -1, epoch: pinned, category: category}
-	s.writeKNN(w, key, methodName, res, cached, start)
+	key.epoch = pinned
+	writeKNN(w, key, methodName, res, cached, start)
 }
 
-// knnQuery answers one kNN through the cache and coalescer (the caller
-// holds an admission slot; the sharded front calls it per shard): the
-// lookup key pins the epoch the reader observed, so a hit is an answer
-// computed from exactly that object set; a miss runs single-flight. It
-// returns the epoch stamped on the answer and whether it was served
-// without running a search here (a cache hit or a coalesced follower).
-func (s *Server) knnQuery(ctx context.Context, qv int32, k int, method rnknn.Method, category string) ([]rnknn.Result, uint64, bool, error) {
-	epoch, err := s.db.Epoch(category)
+// query answers one kNN (key.radius < 0, run with method) or range
+// (key.k == 0) query through the cache and coalescer; key.epoch is ignored
+// on input. The caller holds an admission slot; the sharded front calls it
+// per shard. The lookup key pins the epoch the reader observed, so a hit is
+// an answer computed from exactly that object set; a miss runs
+// single-flight. It returns the epoch stamped on the answer and whether it
+// was served without running a search here (a cache hit or a coalesced
+// follower).
+func (s *Server) query(ctx context.Context, key cacheKey, method rnknn.Method) ([]rnknn.Result, uint64, bool, error) {
+	epoch, err := s.db.Epoch(key.category)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	key := cacheKey{vertex: qv, k: int32(k), radius: -1, epoch: epoch, category: category}
+	key.epoch = epoch
 	if res, ok := s.cache.get(key); ok {
 		return res, epoch, true, nil
 	}
@@ -233,18 +232,27 @@ func (s *Server) knnQuery(ctx context.Context, qv int32, k int, method rnknn.Met
 		if s.gate != nil {
 			s.gate()
 		}
-		res, pinned, err := s.db.KNNPinned(ctx, qv, k,
-			rnknn.WithMethod(method), rnknn.WithCategory(category))
+		var res []rnknn.Result
+		var pinned uint64
+		var err error
+		if key.radius < 0 {
+			res, pinned, err = s.db.KNNPinned(ctx, key.vertex, int(key.k),
+				rnknn.WithMethod(method), rnknn.WithCategory(key.category))
+		} else {
+			res, pinned, err = s.db.RangePinned(ctx, key.vertex, rnknn.Dist(key.radius), rnknn.WithCategory(key.category))
+		}
 		if err == nil {
 			// Store under the epoch the search pinned — possibly newer than
 			// the lookup epoch when churn raced this request; never older.
-			s.cache.put(cacheKey{vertex: qv, k: int32(k), radius: -1, epoch: pinned, category: category}, res)
+			put := key
+			put.epoch = pinned
+			s.cache.put(put, res)
 		}
 		return res, pinned, err
 	})
 }
 
-func (s *Server) writeKNN(w http.ResponseWriter, key cacheKey, method string, res []rnknn.Result, cached bool, start time.Time) {
+func writeKNN(w http.ResponseWriter, key cacheKey, method string, res []rnknn.Result, cached bool, start time.Time) {
 	writeJSON(w, http.StatusOK, KNNResponse{
 		Query:         key.vertex,
 		K:             int(key.k),
@@ -265,7 +273,7 @@ func (s *Server) writeKNN(w http.ResponseWriter, key cacheKey, method string, re
 // epoch mechanism.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	qv, err := intParam(r, "q", -1)
+	qv, err := int32Param(r, "q", -1)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -275,44 +283,17 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	category := r.URL.Query().Get("category")
-	if category == "" {
-		category = rnknn.DefaultCategory
-	}
-	res, pinned, cached, err := s.rangeQuery(r.Context(), int32(qv), int64(radius), category)
+	key := cacheKey{vertex: qv, radius: int64(radius), category: categoryParam(r)}
+	res, pinned, cached, err := s.query(r.Context(), key, rnknn.MethodAuto)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	key := cacheKey{vertex: int32(qv), radius: int64(radius), epoch: pinned, category: category}
-	s.writeRange(w, key, res, cached, start)
+	key.epoch = pinned
+	writeRange(w, key, res, cached, start)
 }
 
-// rangeQuery is knnQuery's range twin: epoch-keyed lookup, single-flight
-// execution on miss, answer stamped with the pinned epoch.
-func (s *Server) rangeQuery(ctx context.Context, qv int32, radius int64, category string) ([]rnknn.Result, uint64, bool, error) {
-	epoch, err := s.db.Epoch(category)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	key := cacheKey{vertex: qv, radius: radius, epoch: epoch, category: category}
-	if res, ok := s.cache.get(key); ok {
-		return res, epoch, true, nil
-	}
-	return s.co.do(ctx, key, func() ([]rnknn.Result, uint64, error) {
-		if s.gate != nil {
-			s.gate()
-		}
-		res, pinned, err := s.db.RangePinned(ctx, qv, rnknn.Dist(radius), rnknn.WithCategory(category))
-		if err == nil {
-			// Store under the epoch the search pinned, as /knn does.
-			s.cache.put(cacheKey{vertex: qv, radius: radius, epoch: pinned, category: category}, res)
-		}
-		return res, pinned, err
-	})
-}
-
-func (s *Server) writeRange(w http.ResponseWriter, key cacheKey, res []rnknn.Result, cached bool, start time.Time) {
+func writeRange(w http.ResponseWriter, key cacheKey, res []rnknn.Result, cached bool, start time.Time) {
 	writeJSON(w, http.StatusOK, RangeResponse{
 		Query:         key.vertex,
 		Radius:        key.radius,
@@ -370,6 +351,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if q.Radius != nil && q.K > 0 {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("query %d: both k and radius set", i)})
+			return
+		}
+		// The cache key holds k in 32 bits; a wider k must not wrap onto
+		// another k's entry.
+		if q.K != int(int32(q.K)) {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("query %d: k=%d is out of the 32-bit range", i, q.K)})
 			return
 		}
 	}
@@ -565,6 +552,26 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 		return 0, fmt.Errorf("parameter %q: %q is not an integer", name, v)
 	}
 	return n, nil
+}
+
+// int32Param parses a vertex or k parameter, which the library and the
+// cache key hold in 32 bits: a value outside that range is an error (400),
+// never wrapped onto another vertex or k.
+func int32Param(r *http.Request, name string, def int) (int32, error) {
+	n, err := intParam(r, name, def)
+	if err == nil && n != int(int32(n)) {
+		err = fmt.Errorf("parameter %q: %d is out of the 32-bit range", name, n)
+	}
+	return int32(n), err
+}
+
+// categoryParam returns the category parameter, DefaultCategory when
+// absent.
+func categoryParam(r *http.Request) string {
+	if c := r.URL.Query().Get("category"); c != "" {
+		return c
+	}
+	return rnknn.DefaultCategory
 }
 
 // methodParam parses the optional method parameter (default "Auto": the

@@ -407,3 +407,52 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached within 5s")
 }
+
+// TestParamsRejectInt32Wrap: vertex and k parameters are 32-bit. A wider
+// value must be a 400, never wrapped onto another vertex or k — a wrapped k
+// once stored the full object set under k=3's cache key, and a later
+// /knn?k=3 served that answer as cached.
+func TestParamsRejectInt32Wrap(t *testing.T) {
+	db := newTestDB(t)
+	ts := httptest.NewServer(New(db, Config{}).Handler())
+	defer ts.Close()
+
+	for _, path := range []string{
+		"/knn?q=7&k=4294967299&method=INE", // k wraps to 3
+		"/knn?q=4294967301&k=3",            // q wraps to vertex 5
+		"/knn?q=7&k=-4294967293",           // k wraps to 3 from below
+		"/range?q=4294967301&radius=100",
+		"/monitor?route=4294967297,1&k=3",
+		"/monitor?q=4294967301&k=3",
+		"/monitor?q=7&k=4294967299",
+	} {
+		if code := getJSON(t, ts.URL+path, nil); code != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", path, code)
+		}
+	}
+	var r KNNResponse
+	if code := getJSON(t, ts.URL+"/knn?q=7&k=3", &r); code != http.StatusOK {
+		t.Fatalf("/knn?q=7&k=3: status %d", code)
+	}
+	if r.Cached || len(r.Results) != 3 {
+		t.Fatalf("/knn?q=7&k=3 after the wrapped request: %d results, cached=%v; want 3 fresh", len(r.Results), r.Cached)
+	}
+
+	body := `{"queries":[{"query":7,"k":3},{"query":7,"k":4294967299}]}`
+	resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/batch with k=4294967299: status %d, want 400", resp.StatusCode)
+	}
+
+	// The sharded front parses the same way.
+	_, _, sts := newShardedPair(t, 2)
+	for _, path := range []string{"/knn?q=7&k=4294967299", "/knn?q=4294967301&k=3", "/range?q=4294967301&radius=100"} {
+		if code := getJSON(t, sts.URL+path, nil); code != http.StatusBadRequest {
+			t.Errorf("sharded GET %s: status %d, want 400", path, code)
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"rnknn/pkg/rnknn"
@@ -84,30 +85,43 @@ func (fs *ShardedServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// shardKNN is the per-shard query the fan-out runs: take that shard's
-// admission slot (or shed), then ride its cache and coalescer.
-func (fs *ShardedServer) shardKNN(r *http.Request, shard int, qv int32, k int, method rnknn.Method, category string, allCached *bool) ([]rnknn.Result, error) {
-	s := fs.shards[shard]
-	if !s.adm.tryAcquire() {
-		return nil, errSaturated
+// query is Server.query lifted to the shard set: it fans one kNN or range
+// key through rnknn.ShardedDB's router, each consulted shard answering via
+// its own admission slot (or shedding), cache, and coalescer. It reports
+// whether every consulted shard answered without running a search.
+func (fs *ShardedServer) query(r *http.Request, key cacheKey, method rnknn.Method) ([]rnknn.Result, bool, error) {
+	var searched atomic.Bool
+	shardQuery := func(shard int) ([]rnknn.Result, error) {
+		s := fs.shards[shard]
+		if !s.adm.tryAcquire() {
+			return nil, errSaturated
+		}
+		defer s.adm.release()
+		s.requests.Add(1)
+		rs, _, cached, err := s.query(r.Context(), key, method)
+		if !cached {
+			searched.Store(true)
+		}
+		return rs, err
 	}
-	defer s.adm.release()
-	s.requests.Add(1)
-	res, _, cached, err := s.knnQuery(r.Context(), qv, k, method, category)
-	if !cached {
-		*allCached = false // one writer per shard slot; read after the fan joins
+	var res []rnknn.Result
+	var err error
+	if key.radius < 0 {
+		res, err = fs.sdb.FanKNN(r.Context(), key.vertex, int(key.k), shardQuery)
+	} else {
+		res, err = fs.sdb.FanRange(r.Context(), key.vertex, rnknn.Dist(key.radius), shardQuery)
 	}
-	return res, err
+	return res, !searched.Load(), err
 }
 
 func (fs *ShardedServer) handleKNN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	qv, err := intParam(r, "q", -1)
+	qv, err := int32Param(r, "q", -1)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	k, err := intParam(r, "k", 10)
+	k, err := int32Param(r, "k", 10)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -117,43 +131,21 @@ func (fs *ShardedServer) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	category := r.URL.Query().Get("category")
-	if category == "" {
-		category = rnknn.DefaultCategory
-	}
-	allCached := make([]bool, fs.sdb.NumShards())
-	for i := range allCached {
-		allCached[i] = true
-	}
-	res, err := fs.sdb.FanKNN(r.Context(), int32(qv), k, func(shard int) ([]rnknn.Result, error) {
-		return fs.shardKNN(r, shard, int32(qv), k, method, category, &allCached[shard])
-	})
+	key := cacheKey{vertex: qv, k: k, radius: -1, category: categoryParam(r)}
+	res, cached, err := fs.query(r, key, method)
 	if err != nil {
 		writeShardedError(w, err)
 		return
 	}
-	cached := true
-	for _, c := range allCached {
-		cached = cached && c
-	}
 	// The composite epoch identifies the cross-shard object-set version the
 	// answer reflects (informational — see rnknn.ShardedDB.Epoch).
-	epoch, _ := fs.sdb.Epoch(category)
-	writeJSON(w, http.StatusOK, KNNResponse{
-		Query:         int32(qv),
-		K:             k,
-		Method:        methodName,
-		Category:      category,
-		Epoch:         epoch,
-		Cached:        cached,
-		LatencyMicros: time.Since(start).Microseconds(),
-		Results:       Results(res),
-	})
+	key.epoch, _ = fs.sdb.Epoch(key.category)
+	writeKNN(w, key, methodName, res, cached, start)
 }
 
 func (fs *ShardedServer) handleRange(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	qv, err := intParam(r, "q", -1)
+	qv, err := int32Param(r, "q", -1)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -163,45 +155,14 @@ func (fs *ShardedServer) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	category := r.URL.Query().Get("category")
-	if category == "" {
-		category = rnknn.DefaultCategory
-	}
-	allCached := make([]bool, fs.sdb.NumShards())
-	for i := range allCached {
-		allCached[i] = true
-	}
-	res, err := fs.sdb.FanRange(r.Context(), int32(qv), rnknn.Dist(radius), func(shard int) ([]rnknn.Result, error) {
-		s := fs.shards[shard]
-		if !s.adm.tryAcquire() {
-			return nil, errSaturated
-		}
-		defer s.adm.release()
-		s.requests.Add(1)
-		rs, _, cached, err := s.rangeQuery(r.Context(), int32(qv), int64(radius), category)
-		if !cached {
-			allCached[shard] = false
-		}
-		return rs, err
-	})
+	key := cacheKey{vertex: qv, radius: int64(radius), category: categoryParam(r)}
+	res, cached, err := fs.query(r, key, rnknn.MethodAuto)
 	if err != nil {
 		writeShardedError(w, err)
 		return
 	}
-	cached := true
-	for _, c := range allCached {
-		cached = cached && c
-	}
-	epoch, _ := fs.sdb.Epoch(category)
-	writeJSON(w, http.StatusOK, RangeResponse{
-		Query:         int32(qv),
-		Radius:        int64(radius),
-		Category:      category,
-		Epoch:         epoch,
-		Cached:        cached,
-		LatencyMicros: time.Since(start).Microseconds(),
-		Results:       Results(res),
-	})
+	key.epoch, _ = fs.sdb.Epoch(key.category)
+	writeRange(w, key, res, cached, start)
 }
 
 // handleObjects routes one mutation through the ShardedDB (which splits

@@ -12,9 +12,8 @@ import (
 // zero heap allocations per query for every enabled method — the pooled
 // session owns all transient search state, the interrupt closure is bound
 // once at session manufacture, and result storage is caller-owned. The
-// buffered KNN form allocates exactly its caller-visible result slice and
-// nothing else, which the companion BenchmarkDBKNNAllocs tracks in the
-// perf trajectory.
+// copying forms — KNN, KNNPinned, Range, RangePinned — allocate exactly
+// their caller-visible result slice and nothing else.
 func TestDBKNNAppendZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every queried index")
@@ -54,6 +53,12 @@ func TestDBKNNAppendZeroAllocs(t *testing.T) {
 			if len(buf) != k {
 				t.Fatalf("%s: got %d results, want %d", m, len(buf), k)
 			}
+			if allocs := testing.AllocsPerRun(50, func() { _, _ = db.KNN(ctx, 137, k, opt) }); allocs != 1 {
+				t.Errorf("%s: warm db.KNN allocates %v allocs/op, want 1", m, allocs)
+			}
+			if allocs := testing.AllocsPerRun(50, func() { _, _, _ = db.KNNPinned(ctx, 137, k, opt) }); allocs != 1 {
+				t.Errorf("%s: warm db.KNNPinned allocates %v allocs/op, want 1", m, allocs)
+			}
 		})
 	}
 
@@ -71,6 +76,15 @@ func TestDBKNNAppendZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("warm db.RangeAppend allocates %v allocs/op, want 0", allocs)
+		}
+		if len(buf) == 0 {
+			t.Fatal("range answer is empty; the copy-out checks below need results")
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _, _ = db.Range(ctx, 137, 4000) }); allocs != 1 {
+			t.Errorf("warm db.Range allocates %v allocs/op, want 1", allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _, _, _ = db.RangePinned(ctx, 137, 4000) }); allocs != 1 {
+			t.Errorf("warm db.RangePinned allocates %v allocs/op, want 1", allocs)
 		}
 	})
 }

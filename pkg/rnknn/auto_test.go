@@ -3,6 +3,7 @@ package rnknn
 import (
 	"context"
 	"errors"
+	"iter"
 	"testing"
 	"time"
 
@@ -148,56 +149,157 @@ func TestParseMethodAuto(t *testing.T) {
 	}
 }
 
-// TestValidationBoundaries is the table-driven boundary check across all
-// four public query entry points: k and radius limits, unknown and
-// disabled methods, never a silent fallback.
+// TestValidationBoundaries is the table-driven boundary check across every
+// public query entry point: each bad input maps to its typed error, never a
+// silent fallback, and a request with two bad inputs reports the same one
+// everywhere — the checks run in one order (k or radius, method, ctx,
+// vertex, category) for every entry point.
 func TestValidationBoundaries(t *testing.T) {
 	db := testDB(t)
-	ctx := context.Background()
-	seqErr := func(ctx context.Context, q int32, k int, opts ...QueryOption) error {
-		var last error
-		for _, err := range db.KNNSeq(ctx, q, k, opts...) {
-			last = err
+	bg := context.Background()
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	nv := int32(db.Graph().NumVertices())
+
+	// appendErr runs an *Append form into a pre-filled buffer and fails the
+	// test unless an error leaves it unextended (same length, same backing).
+	appendErr := func(name string, run func(dst []Result) ([]Result, error)) error {
+		dst := make([]Result, 2, 8)
+		got, err := run(dst)
+		if err != nil && (len(got) != len(dst) || &got[0] != &dst[0]) {
+			t.Errorf("%s: error returned dst extended or replaced (len %d)", name, len(got))
 		}
-		return last
+		return err
 	}
-	batchErr := func(op func(b *Batch) *Batch) error {
-		res, err := op(db.Batch()).Run(ctx)
+	batchErr := func(ctx context.Context, add func(b *Batch) *Batch) error {
+		res, err := add(db.Batch()).Run(ctx)
 		if err != nil {
 			return err
 		}
 		return res[0].Err
 	}
-	cases := []struct {
-		name string
-		err  error
-		want error
-	}{
-		{"KNN k=0", errOf(db.KNN(ctx, 0, 0)), ErrBadK},
-		{"KNN k<0", errOf(db.KNN(ctx, 0, -3)), ErrBadK},
-		{"KNN unknown method", errOf(db.KNN(ctx, 0, 3, WithMethod(Method(99)))), ErrUnknownMethod},
-		{"KNN negative method", errOf(db.KNN(ctx, 0, 3, WithMethod(Method(-7)))), ErrUnknownMethod},
-		{"KNN disabled method", errOf(db.KNN(ctx, 0, 3, WithMethod(DisBrwOH))), ErrMethodNotEnabled},
-		{"Range radius<0", errOf(db.Range(ctx, 0, -1)), ErrBadRadius},
-		{"Range unknown method", errOf(db.Range(ctx, 0, 10, WithMethod(Method(99)))), ErrUnknownMethod},
-		{"Range non-INE method", errOf(db.Range(ctx, 0, 10, WithMethod(IERPHL))), ErrRangeMethod},
-		{"KNNSeq k=0", seqErr(ctx, 0, 0), ErrBadK},
-		{"KNNSeq disabled", seqErr(ctx, 0, 3, WithMethod(DisBrw)), ErrMethodNotEnabled},
-		{"Batch KNN k=0", batchErr(func(b *Batch) *Batch { return b.AddKNN(0, 0) }), ErrBadK},
-		{"Batch unknown method", batchErr(func(b *Batch) *Batch { return b.AddKNN(0, 3, WithMethod(Method(99))) }), ErrUnknownMethod},
-		{"Batch radius<0", batchErr(func(b *Batch) *Batch { return b.AddRange(0, -2) }), ErrBadRadius},
-		{"BruteForceKNN k=0", errOf(db.BruteForceKNN(0, 0)), ErrBadK},
-		{"BruteForceKNN unknown method", errOf(db.BruteForceKNN(0, 3, WithMethod(Method(99)))), ErrUnknownMethod},
-		{"BruteForceRange radius<0", errOf(db.BruteForceRange(0, -1)), ErrBadRadius},
-		{"BruteForceRange non-INE method", errOf(db.BruteForceRange(0, 5, WithMethod(Gtree))), ErrRangeMethod},
+
+	// n is k for the kNN entry points and the radius for the range ones.
+	type call func(ctx context.Context, q int32, n int, opts ...QueryOption) error
+	type entry struct {
+		name    string
+		isRange bool
+		// noCtx marks entry points that take no context (the cancelled-ctx
+		// cases skip them).
+		noCtx bool
+		call  call
 	}
-	for _, c := range cases {
-		if !errors.Is(c.err, c.want) {
-			t.Errorf("%s: got %v, want %v", c.name, c.err, c.want)
+	entries := []entry{
+		{name: "KNN", call: func(ctx context.Context, q int32, k int, o ...QueryOption) error {
+			return errOf(db.KNN(ctx, q, k, o...))
+		}},
+		{name: "KNNAppend", call: func(ctx context.Context, q int32, k int, o ...QueryOption) error {
+			return appendErr("KNNAppend", func(dst []Result) ([]Result, error) { return db.KNNAppend(ctx, q, k, dst, o...) })
+		}},
+		{name: "KNNPinned", call: func(ctx context.Context, q int32, k int, o ...QueryOption) error {
+			_, _, err := db.KNNPinned(ctx, q, k, o...)
+			return err
+		}},
+		{name: "KNNSeq", call: func(ctx context.Context, q int32, k int, o ...QueryOption) error {
+			return lastErr(db.KNNSeq(ctx, q, k, o...))
+		}},
+		{name: "Monitor", call: func(ctx context.Context, q int32, k int, o ...QueryOption) error {
+			return lastErr(db.Monitor(ctx, []int32{0, q}, k, o...))
+		}},
+		{name: "Batch.AddKNN", call: func(ctx context.Context, q int32, k int, o ...QueryOption) error {
+			return batchErr(ctx, func(b *Batch) *Batch { return b.AddKNN(q, k, o...) })
+		}},
+		{name: "Explain", noCtx: true, call: func(_ context.Context, q int32, k int, o ...QueryOption) error {
+			_, err := db.Explain(q, k, o...)
+			return err
+		}},
+		{name: "BruteForceKNN", noCtx: true, call: func(_ context.Context, q int32, k int, o ...QueryOption) error {
+			return errOf(db.BruteForceKNN(q, k, o...))
+		}},
+		{name: "Range", isRange: true, call: func(ctx context.Context, q int32, r int, o ...QueryOption) error {
+			return errOf(db.Range(ctx, q, Dist(r), o...))
+		}},
+		{name: "RangeAppend", isRange: true, call: func(ctx context.Context, q int32, r int, o ...QueryOption) error {
+			return appendErr("RangeAppend", func(dst []Result) ([]Result, error) { return db.RangeAppend(ctx, q, Dist(r), dst, o...) })
+		}},
+		{name: "RangePinned", isRange: true, call: func(ctx context.Context, q int32, r int, o ...QueryOption) error {
+			_, _, err := db.RangePinned(ctx, q, Dist(r), o...)
+			return err
+		}},
+		{name: "Batch.AddRange", isRange: true, call: func(ctx context.Context, q int32, r int, o ...QueryOption) error {
+			return batchErr(ctx, func(b *Batch) *Batch { return b.AddRange(q, Dist(r), o...) })
+		}},
+		{name: "BruteForceRange", isRange: true, noCtx: true, call: func(_ context.Context, q int32, r int, o ...QueryOption) error {
+			return errOf(db.BruteForceRange(q, Dist(r), o...))
+		}},
+	}
+
+	type tc struct {
+		name string
+		ctx  context.Context
+		q    int32
+		n    int
+		opts []QueryOption
+		want error
+	}
+	nope := WithCategory("nope")
+	shared := []tc{
+		{"unknown method", bg, 0, 3, []QueryOption{WithMethod(Method(99))}, ErrUnknownMethod},
+		{"negative method", bg, 0, 3, []QueryOption{WithMethod(Method(-7))}, ErrUnknownMethod},
+		{"negative vertex", bg, -1, 3, nil, ErrBadVertex},
+		{"vertex past end", bg, nv, 3, nil, ErrBadVertex},
+		{"unknown category", bg, 0, 3, []QueryOption{nope}, ErrUnknownCategory},
+		{"cancelled ctx", cancelled, 0, 3, nil, context.Canceled},
+		// Two bad inputs: the earlier check in the fixed order wins.
+		{"bad vertex before category", bg, -1, 3, []QueryOption{nope}, ErrBadVertex},
+		{"ctx before vertex", cancelled, -1, 3, nil, context.Canceled},
+		{"method before vertex", bg, -1, 3, []QueryOption{WithMethod(Method(99))}, ErrUnknownMethod},
+	}
+	knnCases := append([]tc{
+		{"k=0", bg, 0, 0, nil, ErrBadK},
+		{"k<0", bg, 0, -3, nil, ErrBadK},
+		{"disabled method", bg, 0, 3, []QueryOption{WithMethod(DisBrwOH)}, ErrMethodNotEnabled},
+		{"k before vertex", bg, -1, 0, nil, ErrBadK},
+		{"k before method", bg, 0, 0, []QueryOption{WithMethod(DisBrwOH)}, ErrBadK},
+	}, shared...)
+	rangeCases := append([]tc{
+		{"radius<0", bg, 0, -1, nil, ErrBadRadius},
+		{"non-INE method", bg, 0, 3, []QueryOption{WithMethod(IERPHL)}, ErrRangeMethod},
+		{"radius before vertex", bg, -1, -1, nil, ErrBadRadius},
+		{"radius before method", bg, 0, -1, []QueryOption{WithMethod(Gtree)}, ErrBadRadius},
+	}, shared...)
+
+	for _, e := range entries {
+		cases := knnCases
+		if e.isRange {
+			cases = rangeCases
+		}
+		for _, c := range cases {
+			if e.noCtx && c.ctx != bg {
+				continue
+			}
+			if err := e.call(c.ctx, c.q, c.n, c.opts...); !errors.Is(err, c.want) {
+				t.Errorf("%s %s: got %v, want %v", e.name, c.name, err, c.want)
+			}
 		}
 	}
+
+	// Monitor validates every route vertex up front, not just the first.
+	if err := lastErr(db.Monitor(bg, []int32{0, 1, nv}, 3)); !errors.Is(err, ErrBadVertex) {
+		t.Errorf("Monitor bad later route vertex: got %v, want ErrBadVertex", err)
+	}
 	// Range accepts MethodAuto (resolves to the one native range method).
-	if _, err := db.Range(ctx, 0, 100, WithMethod(MethodAuto)); err != nil {
+	if _, err := db.Range(bg, 0, 100, WithMethod(MethodAuto)); err != nil {
 		t.Errorf("Range with MethodAuto: %v", err)
 	}
+}
+
+// lastErr drains a stream and returns its final error (nil when it ended
+// cleanly).
+func lastErr[T any](seq iter.Seq2[T, error]) error {
+	var last error
+	for _, err := range seq {
+		last = err
+	}
+	return last
 }

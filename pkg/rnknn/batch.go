@@ -41,15 +41,7 @@ type Batch struct {
 	db      *DB
 	workers int
 	shared  SharedMode
-	ops     []batchOp
-}
-
-type batchOp struct {
-	isRange bool
-	q       int32
-	k       int
-	radius  Dist
-	qo      queryOpts
+	ops     []request
 }
 
 // SharedMode controls the shared-expansion grouping decision.
@@ -114,14 +106,14 @@ func (b *Batch) SharedExpansion(m SharedMode) *Batch {
 // AddKNN appends a kNN query with the same options KNN accepts, returning
 // b for chaining.
 func (b *Batch) AddKNN(q int32, k int, opts ...QueryOption) *Batch {
-	b.ops = append(b.ops, batchOp{q: q, k: k, qo: b.db.applyOpts(opts)})
+	b.ops = append(b.ops, request{q: q, k: k, qo: b.db.applyOpts(opts)})
 	return b
 }
 
 // AddRange appends a range query with the same options Range accepts,
 // returning b for chaining.
 func (b *Batch) AddRange(q int32, radius Dist, opts ...QueryOption) *Batch {
-	b.ops = append(b.ops, batchOp{isRange: true, q: q, radius: radius, qo: b.db.applyOpts(opts)})
+	b.ops = append(b.ops, request{q: q, radius: radius, isRange: true, qo: b.db.applyOpts(opts)})
 	return b
 }
 
@@ -206,27 +198,18 @@ type groupKey struct {
 // path, validation failures (left for runBatchOp to report) — come back in
 // singles. Group units pin the category epoch their members will answer
 // from.
-func (db *DB) planBatch(ctx context.Context, ops []batchOp, mode SharedMode) ([]planUnit, []int) {
+func (db *DB) planBatch(ctx context.Context, ops []request, mode SharedMode) ([]planUnit, []int) {
 	var units []planUnit
 	var singles []int
 	byKey := map[groupKey]int{} // key -> index of its open unit
 	for i := range ops {
 		op := &ops[i]
-		if op.isRange || op.k <= 0 || mode == SharedOff {
+		if op.isRange || mode == SharedOff {
 			singles = append(singles, i)
 			continue
 		}
-		if db.checkKNNMethod(op.qo.method) != nil {
-			singles = append(singles, i)
-			continue
-		}
-		bind, err := db.checkQuery(ctx, op.q, op.qo)
-		if err != nil {
-			singles = append(singles, i)
-			continue
-		}
-		m := db.resolveMethod(op.qo.method, op.k, bind)
-		if m != INE && m != Gtree {
+		bind, m, err := db.prepare(ctx, op)
+		if err != nil || (m != INE && m != Gtree) {
 			singles = append(singles, i)
 			continue
 		}
@@ -321,7 +304,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchResult, error) {
 // drained — the batch amortization this API exists for. After cancellation
 // the worker keeps draining, marking each remaining query with ctx's error,
 // so every result slot is filled.
-func (db *DB) batchWorker(ctx context.Context, ops []batchOp, out []BatchResult, shared []planUnit, singles []int, next *atomic.Int64) {
+func (db *DB) batchWorker(ctx context.Context, ops []request, out []BatchResult, shared []planUnit, singles []int, next *atomic.Int64) {
 	var sess [numMethods]*pooledSession
 	defer func() {
 		for m, ps := range sess {
@@ -347,11 +330,8 @@ func (db *DB) batchWorker(ctx context.Context, ops []batchOp, out []BatchResult,
 // runBatchGroup answers one shared group through a single KNNGroupAppend on
 // the group's method session. Every member answers from the unit's pinned
 // category epoch; each member's Latency is the group's elapsed time divided
-// by the group size. Shared members feed the per-method query counters but
-// NOT the planner's latency EWMA — an amortized group latency is not a
-// single-query latency and would corrupt the regime cells the grouping
-// decision itself reads.
-func (db *DB) runBatchGroup(ctx context.Context, ops []batchOp, u *planUnit, out []BatchResult, sess *[numMethods]*pooledSession) {
+// by the group size.
+func (db *DB) runBatchGroup(ctx context.Context, ops []request, u *planUnit, out []BatchResult, sess *[numMethods]*pooledSession) {
 	fail := func(err error) {
 		for _, i := range u.ops {
 			out[i] = BatchResult{Query: ops[i].q, Err: err}
@@ -361,113 +341,64 @@ func (db *DB) runBatchGroup(ctx context.Context, ops []batchOp, u *planUnit, out
 		fail(err)
 		return
 	}
-	ps := sess[u.m]
-	if ps == nil {
-		var err error
-		if ps, err = db.pools[u.m].get(u.bind); err != nil {
-			fail(err)
-			return
-		}
-		sess[u.m] = ps
-	} else {
-		ps.sess.Rebind(u.bind)
-	}
-	bm, ok := ps.sess.(knn.BatchMethod)
-	if !ok {
-		// Unreachable for the methods planBatch groups; answer individually
-		// rather than fail if a future method slips through.
-		for _, i := range u.ops {
-			out[i] = db.runBatchOp(ctx, &ops[i], sess)
-		}
+	ps, err := db.workerSession(sess, u.m, u.bind)
+	if err != nil {
+		fail(err)
 		return
 	}
-	qs := make([]knn.GroupQuery, len(u.ops))
-	dst := make([][]knn.Result, len(u.ops))
+	g := request{group: make([]knn.GroupQuery, len(u.ops)), groupOut: make([][]knn.Result, len(u.ops))}
 	for j, i := range u.ops {
-		qs[j] = knn.GroupQuery{Q: ops[i].q, K: ops[i].k}
+		g.group[j] = knn.GroupQuery{Q: ops[i].q, K: ops[i].k}
 	}
-	ps.arm(ctx)
-	start := time.Now()
-	bm.KNNGroupAppend(qs, dst)
-	elapsed := time.Since(start)
-	ps.disarm()
-	if err := ctx.Err(); err != nil {
-		// The expansion may have been cut short; drop the partial answers,
-		// as KNN does.
+	elapsed, err := db.search(ctx, ps, &g, u.bind, u.m)
+	if err != nil {
 		fail(err)
 		return
 	}
 	per := elapsed / time.Duration(len(u.ops))
 	for j, i := range u.ops {
-		out[i] = BatchResult{Query: ops[i].q, Method: u.m, Results: dst[j], Latency: per, Shared: true, Epoch: u.bind.Epoch}
-		db.stats.recordKNN(u.m, per)
+		out[i] = BatchResult{Query: ops[i].q, Method: u.m, Results: g.groupOut[j], Latency: per, Shared: true, Epoch: u.bind.Epoch}
 	}
 }
 
-// runBatchOp validates and executes one batch query against the worker's
-// cached sessions. The search runs into the session's worker-local scratch
-// buffer (reused across the worker's whole share of the batch); the only
-// per-query allocation is the exact-size result copy the caller keeps.
-func (db *DB) runBatchOp(ctx context.Context, op *batchOp, sess *[numMethods]*pooledSession) BatchResult {
+// runBatchOp prepares and executes one batch query against the worker's
+// held sessions. The search runs into the session's scratch buffer (reused
+// across the worker's whole share of the batch); the only per-query
+// allocation is the exact-size result copy the caller keeps.
+func (db *DB) runBatchOp(ctx context.Context, op *request, sess *[numMethods]*pooledSession) BatchResult {
 	res := BatchResult{Query: op.q}
-	fail := func(err error) BatchResult { res.Err = err; return res }
-	if op.isRange {
-		if op.radius < 0 {
-			return fail(fmt.Errorf("%w: radius=%d", ErrBadRadius, op.radius))
-		}
-		if err := db.checkRangeMethod(op.qo); err != nil {
-			return fail(err)
-		}
-	} else {
-		if op.k <= 0 {
-			return fail(fmt.Errorf("%w: k=%d", ErrBadK, op.k))
-		}
-		if err := db.checkKNNMethod(op.qo.method); err != nil {
-			return fail(err)
-		}
-	}
-	b, err := db.checkQuery(ctx, op.q, op.qo)
+	b, m, err := db.prepare(ctx, op)
 	if err != nil {
-		return fail(err)
-	}
-	m := INE
-	if !op.isRange {
-		m = db.resolveMethod(op.qo.method, op.k, b)
+		res.Err = err
+		return res
 	}
 	res.Method = m
-	ps := sess[m]
-	if ps == nil {
-		if ps, err = db.pools[m].get(b); err != nil {
-			return fail(err)
-		}
-		sess[m] = ps
-	} else {
-		// Rebinding an already-held session to this query's category
-		// snapshot is a few pointer swaps — the cheap path Batch exists
-		// to hit.
-		ps.sess.Rebind(b)
+	ps, err := db.workerSession(sess, m, b)
+	if err == nil {
+		res.Latency, err = db.search(ctx, ps, op, b, m)
 	}
-	ps.arm(ctx)
-	start := time.Now()
-	if op.isRange {
-		ps.buf = ps.sess.(knn.RangeMethod).RangeAppend(op.q, op.radius, ps.buf[:0])
-	} else {
-		ps.buf = ps.sess.KNNAppend(op.q, op.k, ps.buf[:0])
+	if err != nil {
+		res.Err = err
+		return res
 	}
-	res.Latency = time.Since(start)
-	ps.disarm()
-	if err := ctx.Err(); err != nil {
-		// The scan may have been cut short; drop the partial answer, as
-		// KNN and Range do.
-		return fail(err)
-	}
-	res.Results = make([]Result, len(ps.buf))
-	copy(res.Results, ps.buf)
+	res.Results = copyOut(nil, ps.buf)
 	res.Epoch = b.Epoch
-	if op.isRange {
-		db.stats.recordRange(res.Latency)
-	} else {
-		db.recordKNN(m, op.k, b, res.Latency)
-	}
 	return res
+}
+
+// workerSession returns the worker's held session of method m rebound to
+// b, checking one out of the pool on the worker's first query of m.
+// Rebinding an already-held session to a query's category snapshot is a
+// few pointer swaps — the cheap path Batch exists to hit.
+func (db *DB) workerSession(sess *[numMethods]*pooledSession, m Method, b *core.Binding) (*pooledSession, error) {
+	if ps := sess[m]; ps != nil {
+		ps.sess.Rebind(b)
+		return ps, nil
+	}
+	ps, err := db.pools[m].get(b)
+	if err != nil {
+		return nil, err
+	}
+	sess[m] = ps
+	return ps, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"sync/atomic"
-	"time"
 
 	"rnknn/internal/monitor"
 )
@@ -142,69 +141,54 @@ func (db *DB) MonitorStats() MonitorStats { return db.mon.snapshot() }
 // step.
 //
 // The yielded error is non-nil on at most the final pair, as with KNNSeq:
-// invalid input yields one typed-error pair (ErrBadK, ErrBadRoute,
-// ErrBadVertex, ...) and ends, and cancellation mid-route ends the stream
+// invalid input yields one typed-error pair and ends — ErrBadRoute for an
+// empty route, else the first failing check in KNN's order (ErrBadK, the
+// method errors, ctx, ErrBadVertex for any route vertex,
+// ErrUnknownCategory) — and cancellation mid-route ends the stream
 // with ctx's error. Breaking out of the loop early releases the session;
 // the sequence is single-use. Safe for unbounded concurrent callers, each
 // monitor being its own session.
 func (db *DB) Monitor(ctx context.Context, route []int32, k int, opts ...QueryOption) iter.Seq2[MonitorUpdate, error] {
 	r := append([]int32(nil), route...)
 	return func(yield func(MonitorUpdate, error) bool) {
-		qo := db.applyOpts(opts)
-		if k <= 0 {
-			yield(MonitorUpdate{}, fmt.Errorf("%w: k=%d", ErrBadK, k))
-			return
-		}
 		if len(r) == 0 {
 			yield(MonitorUpdate{}, fmt.Errorf("%w: empty route", ErrBadRoute))
 			return
 		}
-		if err := db.checkKNNMethod(qo.method); err != nil {
-			yield(MonitorUpdate{}, err)
-			return
+		// Validation covers the whole route up front; the method resolves
+		// once, for the user's k, and the one session checked out here
+		// serves the monitor's whole lifetime.
+		req := request{q: r[0], k: k, route: r, qo: db.applyOpts(opts)}
+		b, m, err := db.prepare(ctx, &req)
+		var ps *pooledSession
+		if err == nil {
+			ps, err = db.pools[m].get(b)
 		}
-		for i, v := range r {
-			if v < 0 || int(v) >= db.g.NumVertices() {
-				yield(MonitorUpdate{}, fmt.Errorf("%w: route[%d]=%d (network has %d vertices)", ErrBadVertex, i, v, db.g.NumVertices()))
-				return
-			}
-		}
-		b, err := db.checkQuery(ctx, r[0], qo)
 		if err != nil {
 			yield(MonitorUpdate{}, err)
 			return
 		}
-		// The refresh expansion asks for k+1 neighbors: the k-th is the
-		// answer's edge and the (k+1)-th prices the safe gap.
-		m := db.resolveMethod(qo.method, k+1, b)
-		ps, err := db.pools[m].get(b)
-		if err != nil {
-			yield(MonitorUpdate{}, err)
-			return
-		}
-		ps.arm(ctx)
-		// One deferred release covers the monitor's whole lifetime: route
-		// completion, early consumer break, cancellation, and panics in the
-		// consumer's loop body unwinding through this frame.
-		defer func() {
-			ps.disarm()
-			db.pools[m].put(ps)
-		}()
+		// The deferred release covers route completion, early consumer
+		// break, cancellation, and panics in the consumer's loop body
+		// unwinding through this frame.
+		defer db.pools[m].put(ps)
 		db.mon.started.Add(1)
 
+		// Each step re-prepares a one-vertex request pinned to the resolved
+		// method: that re-checks ctx and re-snapshots the category, so live
+		// churn is observed (a new epoch forces a refresh on this epoch's
+		// object set). A refresh expands to k+1 neighbors: the k-th is the
+		// answer's edge and the (k+1)-th prices the safe gap.
+		step := request{k: k + 1, qo: req.qo}
+		step.qo.method = m
 		tr := monitor.New(db.g, k)
 		// emitted is the result set as of the last yielded update; Diff
 		// against it produces each refresh step's events.
 		var emitted []Result
 		prev := r[0]
 		for i, v := range r {
-			if err := ctx.Err(); err != nil {
-				yield(MonitorUpdate{}, err)
-				return
-			}
-			// Re-snapshot the category each step so live churn is observed:
-			// a new epoch forces a refresh on this epoch's object set.
-			b, err = db.snapshot(qo.category)
+			step.q = v
+			b, _, err := db.prepare(ctx, &step)
 			if err != nil {
 				yield(MonitorUpdate{}, err)
 				return
@@ -215,14 +199,10 @@ func (db *DB) Monitor(ctx context.Context, route []int32, k int, opts ...QueryOp
 				// Rebind is legal here: the monitor is between queries on
 				// its one single-goroutine session.
 				ps.sess.Rebind(b)
-				start := time.Now()
-				ps.buf = ps.sess.KNNAppend(v, k+1, ps.buf[:0])
-				elapsed := time.Since(start)
-				if err := ctx.Err(); err != nil {
+				if _, err := db.search(ctx, ps, &step, b, m); err != nil {
 					yield(MonitorUpdate{}, err)
 					return
 				}
-				db.recordKNN(m, k+1, b, elapsed)
 				tr.Pin(ps.buf, b.Epoch)
 				events = monitor.Diff(emitted, tr.Results(), nil)
 				emitted = append(emitted[:0], tr.Results()...)

@@ -2,7 +2,6 @@ package rnknn
 
 import (
 	"context"
-	"fmt"
 	"iter"
 	"time"
 
@@ -35,22 +34,11 @@ import (
 // consumed streams are recorded in Stats and planner EWMAs.
 func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
-		qo := db.applyOpts(opts)
-		if k <= 0 {
-			yield(Result{}, fmt.Errorf("%w: k=%d", ErrBadK, k))
-			return
+		b, m, err := db.prepare(ctx, &request{q: q, k: k, qo: db.applyOpts(opts)})
+		var ps *pooledSession
+		if err == nil {
+			ps, err = db.pools[m].get(b)
 		}
-		if err := db.checkKNNMethod(qo.method); err != nil {
-			yield(Result{}, err)
-			return
-		}
-		b, err := db.checkQuery(ctx, q, qo)
-		if err != nil {
-			yield(Result{}, err)
-			return
-		}
-		m := db.resolveMethod(qo.method, k, b)
-		ps, err := db.pools[m].get(b)
 		if err != nil {
 			yield(Result{}, err)
 			return

@@ -382,14 +382,6 @@ func (s *ShardedDB) Epoch(name string) (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// checkShardQuery validates the query vertex against the shared graph.
-func (s *ShardedDB) checkShardQuery(q int32) error {
-	if q < 0 || int(q) >= s.g.NumVertices() {
-		return fmt.Errorf("%w: query vertex %d (network has %d vertices)", ErrBadVertex, q, s.g.NumVertices())
-	}
-	return nil
-}
-
 // KNN answers a k-nearest-neighbors query over the union of all shards'
 // objects, exactly: the owning shard answers first, its k-th distance
 // becomes the pruning threshold, and only shards whose geometric lower
@@ -406,13 +398,15 @@ func (s *ShardedDB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption
 // the library path queries the shard DB directly. query is called for the
 // owning shard first and then concurrently for every shard whose bound
 // passes the threshold prune; each call must return that shard's exact
-// top-k (or fewer if it has fewer objects) sorted by distance.
+// top-k (or fewer if it has fewer objects) sorted by distance. The router
+// checks k and then q, in the order a single DB checks them; method and
+// category errors come back from the shards.
 func (s *ShardedDB) FanKNN(ctx context.Context, q int32, k int, query func(shard int) ([]Result, error)) ([]Result, error) {
-	if err := s.checkShardQuery(q); err != nil {
+	if err := checkK(k); err != nil {
 		return nil, err
 	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadK, k)
+	if err := checkVertex(s.g, q); err != nil {
+		return nil, err
 	}
 	owner := s.OwnerShard(q)
 	first, err := query(owner)
@@ -475,11 +469,11 @@ func (s *ShardedDB) Range(ctx context.Context, q int32, radius Dist, opts ...Que
 // FanRange is Range's routing skeleton with the per-shard query pluggable
 // (see FanKNN).
 func (s *ShardedDB) FanRange(ctx context.Context, q int32, radius Dist, query func(shard int) ([]Result, error)) ([]Result, error) {
-	if err := s.checkShardQuery(q); err != nil {
+	if err := checkRadius(radius); err != nil {
 		return nil, err
 	}
-	if radius < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadRadius, radius)
+	if err := checkVertex(s.g, q); err != nil {
+		return nil, err
 	}
 	type res struct {
 		rs  []Result
@@ -551,12 +545,12 @@ func (ss *shardStream) Next() (kmerge.Item, bool, error) {
 // early abandons the remaining per-shard searches.
 func (s *ShardedDB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
-		if err := s.checkShardQuery(q); err != nil {
-			yield(Result{}, err)
-			return
+		err := checkK(k)
+		if err == nil {
+			err = checkVertex(s.g, q)
 		}
-		if k <= 0 {
-			yield(Result{}, fmt.Errorf("%w: %d", ErrBadK, k))
+		if err != nil {
+			yield(Result{}, err)
 			return
 		}
 		streams := make([]*shardStream, len(s.shards))
@@ -579,7 +573,7 @@ func (s *ShardedDB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOpt
 			}
 		}()
 		yielded := 0
-		err := kmerge.Merge(sources, func(it kmerge.Item) bool {
+		err = kmerge.Merge(sources, func(it kmerge.Item) bool {
 			if !yield(Result{Vertex: it.V, Dist: Dist(it.D)}, nil) {
 				return false
 			}

@@ -2,6 +2,7 @@ package rnknn_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -249,26 +250,45 @@ func TestShardedEmptyShardCategories(t *testing.T) {
 	requireSame(t, "corner after churn", got, want)
 }
 
-// TestShardedValidation pins the router's error surface.
+// TestShardedValidation pins the router's error surface: the same typed
+// errors a single DB reports, with k (or radius) checked before the vertex
+// as DB.prepare does.
 func TestShardedValidation(t *testing.T) {
 	ctx := context.Background()
 	g := gen.Network(gen.NetworkSpec{Name: "shV", Rows: 6, Cols: 6, Seed: 1})
 	_, sdb := shardedPair(t, g, gen.Uniform(g, 0.1, 4), 2)
-
-	if _, err := sdb.KNN(ctx, -1, 3); err == nil {
-		t.Fatal("negative query vertex accepted")
+	nv := int32(g.NumVertices())
+	seqErr := func(q int32, k int) error {
+		var last error
+		for _, err := range sdb.KNNSeq(ctx, q, k) {
+			last = err
+		}
+		return last
 	}
-	if _, err := sdb.KNN(ctx, 0, 0); err == nil {
-		t.Fatal("k=0 accepted")
+	errOf := func(_ []rnknn.Result, err error) error { return err }
+	cases := []struct {
+		name string
+		err  error
+		want error
+	}{
+		{"KNN negative vertex", errOf(sdb.KNN(ctx, -1, 3)), rnknn.ErrBadVertex},
+		{"KNN vertex past end", errOf(sdb.KNN(ctx, nv, 3)), rnknn.ErrBadVertex},
+		{"KNN k=0", errOf(sdb.KNN(ctx, 0, 0)), rnknn.ErrBadK},
+		{"KNN k and vertex bad", errOf(sdb.KNN(ctx, -1, 0)), rnknn.ErrBadK},
+		{"KNN unknown category", errOf(sdb.KNN(ctx, 0, 3, rnknn.WithCategory("nope"))), rnknn.ErrUnknownCategory},
+		{"Range radius<0", errOf(sdb.Range(ctx, 0, -1)), rnknn.ErrBadRadius},
+		{"Range negative vertex", errOf(sdb.Range(ctx, -1, 10)), rnknn.ErrBadVertex},
+		{"Range radius and vertex bad", errOf(sdb.Range(ctx, -1, -1)), rnknn.ErrBadRadius},
+		{"Range unknown category", errOf(sdb.Range(ctx, 0, 10, rnknn.WithCategory("nope"))), rnknn.ErrUnknownCategory},
+		{"KNNSeq k=0", seqErr(0, 0), rnknn.ErrBadK},
+		{"KNNSeq negative vertex", seqErr(-1, 3), rnknn.ErrBadVertex},
+		{"KNNSeq k and vertex bad", seqErr(-1, 0), rnknn.ErrBadK},
+		{"RegisterObjects out-of-range object", sdb.RegisterObjects("bad", []int32{nv}), rnknn.ErrBadVertex},
 	}
-	if _, err := sdb.Range(ctx, 0, -1); err == nil {
-		t.Fatal("negative radius accepted")
-	}
-	if _, err := sdb.KNN(ctx, 0, 3, rnknn.WithCategory("nope")); err == nil {
-		t.Fatal("unknown category accepted")
-	}
-	if err := sdb.RegisterObjects("bad", []int32{int32(g.NumVertices())}); err == nil {
-		t.Fatal("out-of-range object accepted")
+	for _, c := range cases {
+		if !errors.Is(c.err, c.want) {
+			t.Errorf("%s: got %v, want %v", c.name, c.err, c.want)
+		}
 	}
 }
 
